@@ -9,9 +9,13 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# Static analysis: vet always, staticcheck when installed (it is optional
-# tooling; the lint target must not depend on a network fetch).
+# Static analysis: gofmt (any file it would rewrite fails the target), vet
+# always, staticcheck when installed (it is optional tooling; the lint
+# target must not depend on a network fetch).
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
@@ -89,7 +93,7 @@ bench-json:
 
 # Serving-layer benchmark report (BENCH_6.json): JSON vs binary-frame
 # encodings of the cold, cache-hit, and coalesced paths, swept across
-# GOMAXPROCS 1/4/8 to expose the sharded hot path's multicore scaling.
+# GOMAXPROCS 1/4/8 to expose the hot path's multicore scaling.
 bench-serve-json:
 	$(GO) run ./cmd/tcqr-bench -out BENCH_6.json -bench 'Serve' -procs 1,4,8 \
 		-notes "procs above num_cpu oversubscribe a single core; compare scaling against num_cpu, not the -cpu label" \

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime"
@@ -12,9 +14,11 @@ import (
 )
 
 // This file adapts the binary frame codec (internal/wirefmt) to the daemon's
-// API: content negotiation against the JSON contract, frame <-> request
-// mapping for the three compute endpoints, and the pooled-buffer lifecycle
-// that lets a cache-hit solve run without per-request heap growth.
+// API: content negotiation against the JSON contract, the frame layout of
+// each request type (which drives both the decode of an incoming frame and
+// the encode of a peer-forward frame), response framing, and the pooled
+// frame buffer that lets a cache-hit solve run without per-request heap
+// growth.
 //
 // Negotiation rules (DESIGN.md §12): a request IS binary when its
 // Content-Type is application/x-tcqr-frame; a response IS binary when the
@@ -64,189 +68,192 @@ func wantsFrameResponse(r *http.Request, frameReq bool) bool {
 // readFrameBody drains the (size-capped) request body into a pooled buffer.
 // The caller owns the buffer: release it with wirefmt.PutBuffer once no view
 // into it can be referenced, or leak it to the collector when in doubt (the
-// deadline-abandonment path) — never release early.
-func readFrameBody(r *http.Request) ([]byte, *apiError) {
-	hint := int(r.ContentLength)
-	if hint <= 0 {
-		hint = 16 << 10
+// deadline-abandonment path) — never release early. The declared length
+// only sizes the buffer up to limit, so a lying Content-Length cannot make
+// the server allocate past the body cap.
+func readFrameBody(r *http.Request, limit int64) ([]byte, error) {
+	hint := int64(16 << 10)
+	if r.ContentLength > 0 {
+		hint = min(r.ContentLength, limit)
 	}
-	buf := bytes.NewBuffer(wirefmt.GetBuffer(hint))
+	buf := bytes.NewBuffer(wirefmt.GetBuffer(int(hint)))
 	if _, err := io.Copy(buf, r.Body); err != nil {
 		wirefmt.PutBuffer(buf.Bytes())
-		return nil, errBadInput("reading frame body: " + err.Error())
+		return nil, fmt.Errorf("reading frame body: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// decodeFrame parses body and validates the shared frame shape: at least a
-// leading JSON metadata section, which is decoded strictly into meta (the
-// same DisallowUnknownFields contract — and the same decode failpoint — as
-// the JSON endpoints).
-func decodeFrame(body []byte, scratch []wirefmt.Section, meta any) ([]wirefmt.Section, *apiError) {
-	secs, err := wirefmt.Decode(body, scratch)
+// framedRequest is a request type with a binary frame layout. Request types
+// without one (the stream begin/commit/abort controls) take a JSON body
+// under either content type.
+type framedRequest interface{ frame() frameLayout }
+
+// frameLayout is one request type's binary frame: [JSON meta, one section
+// per slot in order (absent optional slots skipped), forward?]. The same
+// layout drives the decode of an incoming frame and the encode of a
+// peer-forward frame, so the two cannot drift apart.
+type frameLayout struct {
+	name  string // the endpoint, for error messages
+	slots []frameSlot
+	// fwdDeadline is the deadline a trailing TagForward section tightens on
+	// decode; nil means the layout takes no forward section (only
+	// cluster-routed endpoints do).
+	fwdDeadline *int64
+}
+
+// frameSlot binds one bulk section to the request field it replaces: a
+// matrix section for a *WireMatrix field, a vector section for a []float64
+// field. The JSON metadata must leave the field empty.
+type frameSlot struct {
+	name     string // the JSON field name
+	mat      **WireMatrix
+	vec      *[]float64
+	optional bool
+}
+
+func (sl frameSlot) set() bool {
+	if sl.mat != nil {
+		return *sl.mat != nil
+	}
+	return len(*sl.vec) != 0
+}
+
+func (sl frameSlot) tag() wirefmt.Tag {
+	if sl.mat != nil {
+		return wirefmt.TagMatrix
+	}
+	return wirefmt.TagVector
+}
+
+func (r *factorizeRequest) frame() frameLayout {
+	return frameLayout{name: "factorize", fwdDeadline: &r.DeadlineMS,
+		slots: []frameSlot{{name: "matrix", mat: &r.Matrix}}}
+}
+
+func (r *solveRequest) frame() frameLayout {
+	return frameLayout{name: "solve", fwdDeadline: &r.DeadlineMS,
+		slots: []frameSlot{{name: "matrix", mat: &r.Matrix, optional: true}, {name: "b", vec: &r.B}}}
+}
+
+func (r *updateRequest) frame() frameLayout {
+	return frameLayout{name: "update", fwdDeadline: &r.DeadlineMS,
+		slots: []frameSlot{{name: "append", mat: &r.Append, optional: true}}}
+}
+
+func (r *lowRankRequest) frame() frameLayout {
+	return frameLayout{name: "lowrank", slots: []frameSlot{{name: "matrix", mat: &r.Matrix}}}
+}
+
+func (r *streamAppendRequest) frame() frameLayout {
+	return frameLayout{name: "append", slots: []frameSlot{{name: "block", mat: &r.Block}}}
+}
+
+// splitFrame parses a frame body into its leading JSON metadata (returned as
+// a reader for the strict JSON decoder) and the sections after it.
+func splitFrame(body []byte) (io.Reader, []wirefmt.Section, error) {
+	secs, err := wirefmt.Decode(body, nil)
 	if err != nil {
-		return nil, errBadInput(err.Error())
+		return nil, nil, err
 	}
 	if len(secs) == 0 || secs[0].Tag != wirefmt.TagJSON {
-		return nil, errBadInput("frame must start with a JSON metadata section")
+		return nil, nil, errors.New("frame must start with a JSON metadata section")
 	}
-	metaBytes := secs[0].Raw
-	if len(metaBytes) == 0 {
-		metaBytes = []byte("{}")
+	meta := secs[0].Raw
+	if len(meta) == 0 {
+		meta = []byte("{}")
 	}
-	if err := decodeJSON(bytes.NewReader(metaBytes), meta); err != nil {
-		return nil, classifyError(err)
-	}
-	return secs, nil
+	return bytes.NewReader(meta), secs[1:], nil
 }
 
-// sectionMatrix copies a matrix section into the JSON wire vocabulary.
-// Matrix payloads are always copied out of the frame buffer: factorize and
-// solve-by-matrix park the matrix in the factorization cache, which outlives
-// the pooled request buffer by design.
-func sectionMatrix(s *wirefmt.Section) *WireMatrix {
-	return &WireMatrix{
-		Rows: int(s.A),
-		Cols: int(s.B),
-		Data: append([]float64(nil), s.Float64s()...),
+// fill binds a decoded frame's bulk sections to the layout's slots, after
+// the metadata has been decoded into the request. Matrix payloads are copied
+// out of the frame (factorize, solve-by-matrix, update and stream append
+// park them in state that outlives the pooled request buffer); vectors alias
+// it zero-copy (on aligned little-endian hosts), so the caller keeps the
+// body alive until the request can no longer reference them.
+func (l frameLayout) fill(secs []wirefmt.Section) error {
+	for _, sl := range l.slots {
+		if sl.set() {
+			return fmt.Errorf("%s frame metadata must not carry a %s field; send it as a binary section", l.name, sl.name)
+		}
 	}
+	var fwd *wirefmt.Section
+	if n := len(secs); l.fwdDeadline != nil && n > 0 && secs[n-1].Tag == wirefmt.TagForward {
+		secs, fwd = secs[:n-1], &secs[n-1]
+	}
+	for _, sl := range l.slots {
+		if len(secs) == 0 || secs[0].Tag != sl.tag() {
+			if sl.optional {
+				continue
+			}
+			return l.shapeError()
+		}
+		if sl.mat != nil {
+			*sl.mat = &WireMatrix{Rows: int(secs[0].A), Cols: int(secs[0].B),
+				Data: append([]float64(nil), secs[0].Float64s()...)}
+		} else {
+			*sl.vec = secs[0].Float64s()
+		}
+		secs = secs[1:]
+	}
+	if len(secs) != 0 {
+		return l.shapeError()
+	}
+	// A forwarded request must not outlive the coordinator waiting on it.
+	if fwd != nil && fwd.A != 0 && (*l.fwdDeadline == 0 || int64(fwd.A) < *l.fwdDeadline) {
+		*l.fwdDeadline = int64(fwd.A)
+	}
+	return nil
 }
 
-// splitForward pops a trailing TagForward section (peer-forwarded requests
-// append one — see cluster.go) so the per-endpoint shape checks below see
-// the client-facing layout either way.
-func splitForward(secs []wirefmt.Section) ([]wirefmt.Section, *wirefmt.Section) {
-	if n := len(secs); n > 1 && secs[n-1].Tag == wirefmt.TagForward {
-		return secs[:n-1], &secs[n-1]
+func (l frameLayout) shapeError() error {
+	names := []string{"JSON meta"}
+	for _, sl := range l.slots {
+		if sl.optional {
+			names = append(names, sl.name+"?")
+		} else {
+			names = append(names, sl.name)
+		}
 	}
-	return secs, nil
+	return fmt.Errorf("%s frame needs sections [%s]", l.name, strings.Join(names, ", "))
 }
 
-// foldForwardDeadline tightens the request deadline to the forward section's
-// remaining budget: a forwarded request must not outlive the coordinator
-// that is waiting on it.
-func foldForwardDeadline(fwd *wirefmt.Section, deadlineMS int64) int64 {
-	if fwd == nil || fwd.A == 0 {
-		return deadlineMS
+// encodeFrame encodes req in its frame layout into a pooled buffer: the
+// JSON metadata is req with its slot fields cleared, then one section per
+// required or present slot, then extra (the forward section).
+func encodeFrame(req framedRequest, extra ...wirefmt.Section) ([]byte, error) {
+	l := req.frame()
+	secs := make([]wirefmt.Section, 1, 2+len(l.slots)+len(extra))
+	for _, sl := range l.slots {
+		if sl.optional && !sl.set() {
+			continue
+		}
+		// Clear the field for the metadata marshal, restore it afterwards:
+		// the request keeps serving locally if the forward falls through.
+		if sl.mat != nil {
+			m := *sl.mat
+			secs = append(secs, wirefmt.MatrixSection(m.Rows, m.Cols, m.Data))
+			*sl.mat = nil
+			defer func() { *sl.mat = m }()
+		} else {
+			v := *sl.vec
+			secs = append(secs, wirefmt.VectorSection(v))
+			*sl.vec = nil
+			defer func() { *sl.vec = v }()
+		}
 	}
-	if deadlineMS == 0 || int64(fwd.A) < deadlineMS {
-		return int64(fwd.A)
+	meta, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
 	}
-	return deadlineMS
-}
-
-// decodeFactorizeFrame maps a factorize frame — [JSON meta, matrix A] plus
-// an optional trailing forward section — onto the JSON request vocabulary.
-// The returned request does not alias body.
-func decodeFactorizeFrame(body []byte, scratch []wirefmt.Section) (*factorizeRequest, *apiError) {
-	var req factorizeRequest
-	secs, aerr := decodeFrame(body, scratch, &req)
-	if aerr != nil {
-		return nil, aerr
+	secs[0] = wirefmt.JSONSection(meta)
+	secs = append(secs, extra...)
+	n, err := wirefmt.FrameLen(secs...)
+	if err != nil {
+		return nil, err
 	}
-	if req.Matrix != nil {
-		return nil, errBadInput("factorize frame metadata must not carry a matrix field; send a matrix section")
-	}
-	secs, fwd := splitForward(secs)
-	if len(secs) != 2 || secs[1].Tag != wirefmt.TagMatrix {
-		return nil, errBadInput("factorize frame needs exactly [JSON meta, matrix] sections")
-	}
-	req.Matrix = sectionMatrix(&secs[1])
-	req.DeadlineMS = foldForwardDeadline(fwd, req.DeadlineMS)
-	return &req, nil
-}
-
-// decodeStreamAppendFrame maps a stream-append frame — [JSON meta, row block]
-// — onto the JSON request vocabulary. The row block is copied out of the
-// frame buffer (sessions outlive the pooled request body), so the returned
-// request does not alias body.
-func decodeStreamAppendFrame(body []byte, scratch []wirefmt.Section) (*streamAppendRequest, *apiError) {
-	var req streamAppendRequest
-	secs, aerr := decodeFrame(body, scratch, &req)
-	if aerr != nil {
-		return nil, aerr
-	}
-	if req.Block != nil {
-		return nil, errBadInput("append frame metadata must not carry a block field; send a matrix section")
-	}
-	if len(secs) != 2 || secs[1].Tag != wirefmt.TagMatrix {
-		return nil, errBadInput("append frame needs exactly [JSON meta, row block] sections")
-	}
-	req.Block = sectionMatrix(&secs[1])
-	return &req, nil
-}
-
-// decodeSolveFrame maps a solve frame — [JSON meta, b] for solve-by-key or
-// [JSON meta, matrix A, b] for solve-by-matrix, plus an optional trailing
-// forward section — onto the JSON request vocabulary. The right-hand side
-// aliases body zero-copy (on aligned little-endian hosts): the caller must
-// keep body alive until the solve can no longer reference b.
-func decodeSolveFrame(body []byte, scratch []wirefmt.Section) (*solveRequest, *apiError) {
-	var req solveRequest
-	secs, aerr := decodeFrame(body, scratch, &req)
-	if aerr != nil {
-		return nil, aerr
-	}
-	if req.Matrix != nil || len(req.B) != 0 {
-		return nil, errBadInput("solve frame metadata must not carry matrix or b fields; send binary sections")
-	}
-	secs, fwd := splitForward(secs)
-	switch {
-	case len(secs) == 2 && secs[1].Tag == wirefmt.TagVector:
-		req.B = secs[1].Float64s()
-	case len(secs) == 3 && secs[1].Tag == wirefmt.TagMatrix && secs[2].Tag == wirefmt.TagVector:
-		req.Matrix = sectionMatrix(&secs[1])
-		req.B = secs[2].Float64s()
-	default:
-		return nil, errBadInput("solve frame needs [JSON meta, b] or [JSON meta, matrix, b] sections")
-	}
-	req.DeadlineMS = foldForwardDeadline(fwd, req.DeadlineMS)
-	return &req, nil
-}
-
-// decodeUpdateFrame maps an update frame — [JSON meta, append block] for an
-// append, [JSON meta] for a downdate, plus an optional trailing forward
-// section — onto the JSON request vocabulary. The append block is copied out
-// of the frame buffer (the updated entry outlives the pooled request body),
-// so the returned request does not alias body.
-func decodeUpdateFrame(body []byte, scratch []wirefmt.Section) (*updateRequest, *apiError) {
-	var req updateRequest
-	secs, aerr := decodeFrame(body, scratch, &req)
-	if aerr != nil {
-		return nil, aerr
-	}
-	if req.Append != nil {
-		return nil, errBadInput("update frame metadata must not carry an append field; send a matrix section")
-	}
-	secs, fwd := splitForward(secs)
-	switch {
-	case len(secs) == 1:
-		// Downdate: the metadata's remove_rows carries the whole request.
-	case len(secs) == 2 && secs[1].Tag == wirefmt.TagMatrix:
-		req.Append = sectionMatrix(&secs[1])
-	default:
-		return nil, errBadInput("update frame needs [JSON meta] or [JSON meta, append block] sections")
-	}
-	req.DeadlineMS = foldForwardDeadline(fwd, req.DeadlineMS)
-	return &req, nil
-}
-
-// decodeLowRankFrame maps a lowrank frame — [JSON meta, matrix A] — onto the
-// JSON request vocabulary. The returned request does not alias body.
-func decodeLowRankFrame(body []byte, scratch []wirefmt.Section) (*lowRankRequest, *apiError) {
-	var req lowRankRequest
-	secs, aerr := decodeFrame(body, scratch, &req)
-	if aerr != nil {
-		return nil, aerr
-	}
-	if req.Matrix != nil {
-		return nil, errBadInput("lowrank frame metadata must not carry a matrix field; send a matrix section")
-	}
-	if len(secs) != 2 || secs[1].Tag != wirefmt.TagMatrix {
-		return nil, errBadInput("lowrank frame needs exactly [JSON meta, matrix] sections")
-	}
-	req.Matrix = sectionMatrix(&secs[1])
-	return &req, nil
+	return wirefmt.AppendFrame(wirefmt.GetBuffer(n), secs...)
 }
 
 // binSolveMeta is the JSON metadata section of a binary solve response:

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tcqr"
 	"tcqr/internal/faultinject"
-	"tcqr/internal/metrics"
 )
 
 // CacheKey derives the content-addressed cache key for factoring a under
@@ -151,7 +151,7 @@ type FactorCache struct {
 	backend    Backend
 	spill      *SpillTier // optional write-behind disk tier (nil = off)
 
-	hits metrics.Striped
+	hits atomic.Int64
 
 	mu       sync.Mutex
 	upd      sync.Cond // waits for per-series update serialization
@@ -279,7 +279,7 @@ func (c *FactorCache) Get(key string) (*Entry, bool) {
 	}
 	c.lru.moveFront(e)
 	e.refs++
-	c.hits.Inc()
+	c.hits.Add(1)
 	return e, true
 }
 
@@ -334,7 +334,7 @@ func (c *FactorCache) GetOrFactor(key string, a *tcqr.Matrix, cfg tcqr.Config) (
 	if e := c.lookupLocked(key); e != nil {
 		c.lru.moveFront(e)
 		e.refs++
-		c.hits.Inc()
+		c.hits.Add(1)
 		c.mu.Unlock()
 		return e, SourceHit, nil
 	}

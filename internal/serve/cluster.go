@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"net/http"
 	"time"
@@ -38,74 +37,48 @@ import (
 // served_remote or served_local_fallback — the accounting invariant the
 // chaos soak asserts.
 
-// maybeForwardFactorize routes a factorize-shaped request (one-shot
-// /v1/factorize). It returns true when the response has been written (a
-// relayed peer answer); false means the caller serves locally.
-func (s *Server) maybeForwardFactorize(w http.ResponseWriter, rc *reqScope, ctx context.Context, req *factorizeRequest, a *tcqr.Matrix, key string) bool {
-	cands, forward := s.clusterRoute(rc, key, true, false)
-	if !forward {
-		return false
-	}
-	frame, err := encodeFactorizeForward(s.cluster, ctx, req, a, len(cands))
-	if err != nil {
-		s.cluster.NoteServedLocalFallback()
-		return false
-	}
-	handled := s.forwardToCandidates(w, rc, ctx, cands, nil, "/v1/factorize", frame, false)
-	wirefmt.PutBuffer(frame)
-	return handled
+// relayedResponse is a peer's answer to a forwarded request: the pipeline
+// writes it back in place of a local response.
+type relayedResponse struct {
+	*cluster.ForwardResult
+	peer string
 }
 
-// maybeForwardSolve routes a solve request (by key or by matrix; a is nil
-// for solve-by-key). Same contract as maybeForwardFactorize.
-func (s *Server) maybeForwardSolve(w http.ResponseWriter, rc *reqScope, ctx context.Context, req *solveRequest, a *tcqr.Matrix, key string) bool {
-	// Solves are cache-tier work: degraded peers keep serving them (a
-	// degraded owner that misses answers 503, which reads as try-next).
-	cands, forward := s.clusterRoute(rc, key, false, req.Key != "")
+// forward routes a keyed request: when the decision above is "forward" it
+// tries the key's owners with req encoded as a peer-forward frame (its frame
+// layout plus a forward section) and returns the first usable answer. nil
+// means serve locally. cold marks factorization work: degraded peers are
+// skipped, while solves, being cache-tier work, still go to them (a degraded
+// owner that misses answers 503, which reads as try-next). keyOnly marks a request that names a key it cannot compute from
+// its own payload (solve or update by key). Such a request, when this node
+// cannot answer it locally, gets a last-resort reserve pass over every peer,
+// owner or not, regardless of probed state: falling through to the local
+// 404 is a guaranteed failure, so a down-marked owner (the mark may be a
+// transient probe glitch) or a non-owner coordinator that computed the entry
+// as a local fallback is worth one more attempt each. Every forwarded
+// request terminates exactly once in served_remote or served_local_fallback.
+func (s *Server) forward(ctx context.Context, rc *reqScope, path string, req framedRequest, key string, cold, keyOnly bool) *relayedResponse {
+	cands, forward := s.clusterRoute(rc, key, cold, keyOnly)
 	if !forward {
-		return false
+		return nil
 	}
-	frame, err := encodeSolveForward(s.cluster, ctx, req, a, len(cands))
+	frame, err := encodeFrame(req, forwardSection(s.cluster, ctx, len(cands)))
 	if err != nil {
 		s.cluster.NoteServedLocalFallback()
-		return false
+		return nil
 	}
-	// A by-key request this node cannot serve locally gets a last-resort
-	// reserve: every peer, owner or not, regardless of probed state. Falling
-	// through to the local 404 is a guaranteed failure, so a down-marked
-	// owner (the mark may be a transient probe glitch) or a non-owner
-	// coordinator that computed the entry as a local fallback is worth one
-	// more attempt each.
+	defer wirefmt.PutBuffer(frame)
 	var reserve []cluster.Member
-	if req.Key != "" && !s.cache.Peek(key) {
+	if keyOnly && !s.cache.Peek(key) {
 		reserve = s.cluster.Peers()
 	}
-	handled := s.forwardToCandidates(w, rc, ctx, cands, reserve, "/v1/solve", frame, req.Key != "")
-	wirefmt.PutBuffer(frame)
-	return handled
-}
-
-// maybeForwardUpdate routes an update request: updates must run on a node
-// holding the key's series (the epoch chain is node-local state), so a node
-// without the series routes to the base key's owners exactly like a by-key
-// solve it cannot answer. Same contract as maybeForwardSolve.
-func (s *Server) maybeForwardUpdate(w http.ResponseWriter, rc *reqScope, ctx context.Context, req *updateRequest) bool {
-	cands, forward := s.clusterRoute(rc, req.Key, true, true)
-	if !forward {
-		return false
+	for _, pass := range [][]cluster.Member{cands, reserve} {
+		if rl := s.tryCandidates(ctx, rc, pass, path, frame, keyOnly); rl != nil {
+			return rl
+		}
 	}
-	frame, err := encodeUpdateForward(s.cluster, ctx, req, len(cands))
-	if err != nil {
-		s.cluster.NoteServedLocalFallback()
-		return false
-	}
-	var reserve []cluster.Member
-	if !s.cache.Peek(req.Key) {
-		reserve = s.cluster.Peers()
-	}
-	handled := s.forwardToCandidates(w, rc, ctx, cands, reserve, "/v1/update", frame, true)
-	wirefmt.PutBuffer(frame)
-	return handled
+	s.cluster.NoteServedLocalFallback()
+	return nil
 }
 
 // clusterRoute makes the routing decision for key. forward=false means serve
@@ -154,29 +127,12 @@ func (s *Server) clusterRoute(rc *reqScope, key string, cold, keyOnly bool) ([]c
 	return cands, true
 }
 
-// forwardToCandidates tries each candidate in order and relays the first
-// usable answer; when the first pass fails it makes one pass over reserve
-// (the last-resort owner list — empty except for by-key solves the local
-// cache cannot answer). Returns false after exhausting both, with the
-// fallback counted: the caller serves locally. Every call terminates exactly
-// once in served_remote or served_local_fallback.
-func (s *Server) forwardToCandidates(w http.ResponseWriter, rc *reqScope, ctx context.Context, cands, reserve []cluster.Member, path string, frame []byte, keyOnly bool) bool {
-	if s.tryCandidates(w, rc, ctx, cands, path, frame, keyOnly) {
-		return true
-	}
-	if len(reserve) > 0 && s.tryCandidates(w, rc, ctx, reserve, path, frame, keyOnly) {
-		return true
-	}
-	s.cluster.NoteServedLocalFallback()
-	return false
-}
-
-// tryCandidates attempts each candidate once and relays the first usable
+// tryCandidates attempts each candidate once and returns the first usable
 // answer. Transport errors (the peer is marked down inside Forward), 5xx,
-// and 429 try the next candidate; for solve-by-key a 404 does too — a
+// and 429 try the next candidate; for a by-key request a 404 does too — a
 // replica missing the entry is not authoritative while another owner might
 // hold it.
-func (s *Server) tryCandidates(w http.ResponseWriter, rc *reqScope, ctx context.Context, cands []cluster.Member, path string, frame []byte, keyOnly bool) bool {
+func (s *Server) tryCandidates(ctx context.Context, rc *reqScope, cands []cluster.Member, path string, frame []byte, keyOnly bool) *relayedResponse {
 	for _, m := range cands {
 		if ctx.Err() != nil {
 			break
@@ -184,34 +140,28 @@ func (s *Server) tryCandidates(w http.ResponseWriter, rc *reqScope, ctx context.
 		t0 := time.Now()
 		res, err := s.cluster.Forward(ctx, m, path, frame, rc.frameResp)
 		rc.rep.RecordTiming("forward", time.Since(t0))
-		if err != nil {
-			continue
-		}
-		if res.Status >= 500 || res.Status == http.StatusTooManyRequests {
-			continue
-		}
-		if keyOnly && res.Status == http.StatusNotFound {
+		if err != nil || res.Status >= 500 || res.Status == http.StatusTooManyRequests ||
+			(keyOnly && res.Status == http.StatusNotFound) {
 			continue
 		}
 		s.cluster.NoteServedRemote()
-		rc.relay(w, res, m.ID)
-		return true
+		return &relayedResponse{ForwardResult: res, peer: m.ID}
 	}
-	return false
+	return nil
 }
 
 // relay writes a peer's buffered response through the request's normal
 // finish path (stage timings, response counters, structured log). Error
 // accounting stays with the node that served the request; the coordinator
 // only counts the response status.
-func (rc *reqScope) relay(w http.ResponseWriter, res *cluster.ForwardResult, peerID string) {
+func (rc *reqScope) relay(w http.ResponseWriter, res *relayedResponse) {
 	if res.ContentType != "" {
 		rc.respCT = res.ContentType
 	}
 	if res.RetryAfter != "" {
 		w.Header().Set("Retry-After", res.RetryAfter)
 	}
-	w.Header().Set(cluster.ServedByHeader, peerID)
+	w.Header().Set(cluster.ServedByHeader, res.peer)
 	rc.finish(w, res.Status, res.Body)
 }
 
@@ -237,8 +187,9 @@ func (s *Server) clusterReplicate(key string, a *tcqr.Matrix, wcfg WireConfig) {
 			// Replica deliveries are factorize frames: replication is
 			// deterministic recompute on the replica (bit-identical factors —
 			// the determinism contract), not factor shipping.
-			frame, err = encodeFactorizeForward(n, context.Background(),
-				&factorizeRequest{Config: wcfg}, a, 1)
+			req := &factorizeRequest{Config: wcfg,
+				Matrix: &WireMatrix{Rows: a.Rows, Cols: a.Cols, Data: colMajorData(a)}}
+			frame, err = encodeFrame(req, forwardSection(n, context.Background(), 1))
 			if err != nil {
 				return
 			}
@@ -248,21 +199,6 @@ func (s *Server) clusterReplicate(key string, a *tcqr.Matrix, wcfg WireConfig) {
 	// The frame is not pooled here: Replicate and the handoff queue retain
 	// copies asynchronously, so recycling the encode buffer under them would
 	// hand a torn frame to a peer.
-}
-
-// encodeFactorizeForward builds the peer-forward frame for a
-// factorize-shaped request: [JSON meta, matrix, forward].
-func encodeFactorizeForward(n *cluster.Node, ctx context.Context, req *factorizeRequest, a *tcqr.Matrix, attempts int) ([]byte, error) {
-	meta, err := json.Marshal(factorizeRequest{Config: req.Config, DeadlineMS: req.DeadlineMS})
-	if err != nil {
-		return nil, err
-	}
-	secs := []wirefmt.Section{
-		wirefmt.JSONSection(meta),
-		wirefmt.MatrixSection(a.Rows, a.Cols, colMajorData(a)),
-		forwardSection(n, ctx, attempts),
-	}
-	return encodeForwardFrame(secs)
 }
 
 // colMajorData returns a's elements as a tight column-major slice (uploaded
@@ -276,60 +212,6 @@ func colMajorData(a *tcqr.Matrix) []float64 {
 		copy(out[j*a.Rows:(j+1)*a.Rows], a.Data[j*a.Stride:j*a.Stride+a.Rows])
 	}
 	return out
-}
-
-// encodeSolveForward builds the peer-forward frame for a solve request:
-// [JSON meta, b, forward] by key, [JSON meta, matrix, b, forward] by matrix.
-func encodeSolveForward(n *cluster.Node, ctx context.Context, req *solveRequest, a *tcqr.Matrix, attempts int) ([]byte, error) {
-	meta, err := json.Marshal(solveRequest{
-		Key:        req.Key,
-		Config:     req.Config,
-		Options:    req.Options,
-		DeadlineMS: req.DeadlineMS,
-	})
-	if err != nil {
-		return nil, err
-	}
-	secs := make([]wirefmt.Section, 0, 4)
-	secs = append(secs, wirefmt.JSONSection(meta))
-	if a != nil {
-		secs = append(secs, wirefmt.MatrixSection(a.Rows, a.Cols, colMajorData(a)))
-	}
-	secs = append(secs, wirefmt.VectorSection(req.B), forwardSection(n, ctx, attempts))
-	return encodeForwardFrame(secs)
-}
-
-// encodeUpdateForward builds the peer-forward frame for an update request:
-// [JSON meta, append block?, forward].
-func encodeUpdateForward(n *cluster.Node, ctx context.Context, req *updateRequest, attempts int) ([]byte, error) {
-	meta, err := json.Marshal(updateRequest{
-		Key:        req.Key,
-		RemoveRows: req.RemoveRows,
-		DeadlineMS: req.DeadlineMS,
-	})
-	if err != nil {
-		return nil, err
-	}
-	secs := make([]wirefmt.Section, 0, 3)
-	secs = append(secs, wirefmt.JSONSection(meta))
-	if req.Append != nil {
-		secs = append(secs, wirefmt.MatrixSection(req.Append.Rows, req.Append.Cols, req.Append.Data))
-	}
-	secs = append(secs, forwardSection(n, ctx, attempts))
-	return encodeForwardFrame(secs)
-}
-
-func encodeForwardFrame(secs []wirefmt.Section) ([]byte, error) {
-	sz, err := wirefmt.FrameLen(secs...)
-	if err != nil {
-		return nil, err
-	}
-	out, err := wirefmt.AppendFrame(wirefmt.GetBuffer(sz), secs...)
-	if err != nil {
-		wirefmt.PutBuffer(out)
-		return nil, err
-	}
-	return out, nil
 }
 
 // forwardSection stamps the remaining deadline budget and attempt count into

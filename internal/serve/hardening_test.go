@@ -168,10 +168,14 @@ func TestAwaitIdleWaitsForDequeuedTask(t *testing.T) {
 		// Both workers are parked on the gate and the rest sit queued: wait
 		// for that stable state, then drain and release. The workers' next
 		// dequeues now race AwaitIdle's polling — exactly the window where
-		// the old queued-before-inFlight ordering reported idle early.
+		// the old queued-before-inFlight ordering reported idle early. The
+		// wait reads the channel, not the queued gauge: a Stats snapshot
+		// taken while a worker sits between its two counter updates can show
+		// the stable state one submission early, and the drain then rejects
+		// the last submitter. Two workers in flight plus n-workers tasks in
+		// the channel means every submission has been enqueued.
 		for {
-			st := p.Stats()
-			if st.InFlight == workers && st.Queued == n-workers {
+			if p.Stats().InFlight == workers && len(p.tasks) == n-workers {
 				break
 			}
 			runtime.Gosched()

@@ -173,4 +173,3 @@ func (r *retrier) do(ctx context.Context, fn func() error) error {
 		}
 	}
 }
-

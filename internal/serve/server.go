@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -294,24 +295,57 @@ func (s *Server) AwaitIdle(ctx context.Context) error { return s.pool.AwaitIdle(
 // /healthz, /statz, /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/factorize", s.handleFactorize)
-	mux.HandleFunc("/v1/factorize/stream/begin", s.handleStreamBegin)
-	mux.HandleFunc("/v1/factorize/stream/append", s.handleStreamAppend)
-	mux.HandleFunc("/v1/factorize/stream/commit", s.handleStreamCommit)
-	mux.HandleFunc("/v1/factorize/stream/abort", s.handleStreamAbort)
-	mux.HandleFunc("/v1/solve", s.handleSolve)
-	mux.HandleFunc("/v1/update", s.handleUpdate)
-	mux.HandleFunc("/v1/lowrank", s.handleLowRank)
+	mux.HandleFunc("/v1/factorize", handle(s, "factorize", s.runFactorize))
+	mux.HandleFunc("/v1/factorize/stream/begin", handle(s, "stream_begin", s.runStreamBegin))
+	mux.HandleFunc("/v1/factorize/stream/append", handle(s, "stream_append", s.runStreamAppend))
+	mux.HandleFunc("/v1/factorize/stream/commit", handle(s, "stream_commit", s.runStreamCommit))
+	mux.HandleFunc("/v1/factorize/stream/abort", handle(s, "stream_abort", s.runStreamAbort))
+	mux.HandleFunc("/v1/solve", handle(s, "solve", s.runSolve))
+	mux.HandleFunc("/v1/update", handle(s, "update", s.runUpdate))
+	mux.HandleFunc("/v1/lowrank", handle(s, "lowrank", s.runLowRank))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/statz", s.handleStatz)
 	mux.Handle("/metrics", s.metrics.reg)
 	return mux
 }
 
-// reqScope carries one request's instrumentation through its handler: the
+// handle is the request pipeline every POST endpoint runs: admit → decode →
+// run → respond. The pipeline owns everything the endpoints share —
+// admission (method, drain, accounting, body cap), decoding strict JSON or
+// the request type's frame layout, the pooled frame buffer, the compute
+// deadline, error classification and the response with its envelope,
+// Server-Timing, metrics and log line. An endpoint supplies only its request
+// type (and through it the frame layout) and run, which returns the response
+// value, a relayed peer answer, or an error.
+func handle[Req any](s *Server, endpoint string, run func(context.Context, *reqScope, *Req) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		rc, err := s.admit(w, r, endpoint)
+		defer rc.releaseBody()
+		var resp any
+		if err == nil {
+			req := new(Req)
+			if err = rc.decode(r, req); err == nil {
+				ctx, cancel := s.requestContext(r, req)
+				defer cancel()
+				resp, err = run(ctx, rc, req)
+			}
+		}
+		relayed, isRelay := resp.(*relayedResponse)
+		switch {
+		case err != nil:
+			rc.fail(w, classifyError(err))
+		case isRelay:
+			rc.relay(w, relayed)
+		default:
+			rc.ok(w, resp)
+		}
+	}
+}
+
+// reqScope carries one request's instrumentation through the pipeline: the
 // hazard/timing report, the identifiers the structured log line wants
-// (filled in as the handler learns them), and the terminal-status
-// bookkeeping shared by ok and fail.
+// (filled in as run learns them), and the terminal-status bookkeeping shared
+// by ok and fail.
 type reqScope struct {
 	s        *Server
 	endpoint string
@@ -351,9 +385,10 @@ func (rc *reqScope) releaseBody() {
 	}
 }
 
-// admit is the common front door of the compute endpoints: method check,
-// drain check, encoding negotiation, request accounting, body cap.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) (*reqScope, bool) {
+// admit is the pipeline's front door: it opens the request scope (encoding
+// negotiation, request accounting), refuses a wrong method or a draining
+// server, and caps the body.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) (*reqScope, error) {
 	rc := &reqScope{
 		s:        s,
 		endpoint: endpoint,
@@ -378,25 +413,86 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string) 
 		s.metrics.requests.With(endpoint).Inc()
 	}
 	if r.Method != http.MethodPost {
-		rc.fail(w, &apiError{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
-			msg: fmt.Sprintf("%s requires POST", r.URL.Path)})
-		return nil, false
+		return rc, &apiError{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
+			msg: fmt.Sprintf("%s requires POST", r.URL.Path)}
 	}
 	if s.draining.Load() {
-		rc.fail(w, classifyError(ErrDraining))
-		return nil, false
+		return rc, ErrDraining
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	return rc, true
+	return rc, nil
 }
 
-// requestContext derives the request's compute deadline: the client's
-// deadline_ms when given, the server default otherwise, whichever is
-// sooner.
-func (s *Server) requestContext(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
+// decode is the pipeline's decode step: req is filled from a strict JSON
+// body or, for a frame request, from the request type's frame layout (a
+// request type without one takes its JSON body under either content type).
+// A frame body is read into a pooled buffer the scope owns: it is recycled
+// as soon as decoding ends unless a decoded vector views it zero-copy (the
+// solve right-hand side), in which case it lives until the response is
+// written — or forever, if the solve abandons a batch on deadline. A body
+// over the cap is 413 too_large; anything else that does not decode is 400
+// bad_input.
+func (rc *reqScope) decode(r *http.Request, req any) error {
+	err := rc.decodeBody(r, req)
+	if err == nil {
+		return nil
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+			msg: fmt.Sprintf("request body exceeds the server's %d-byte cap", tooLarge.Limit)}
+	}
+	var ae *apiError
+	if errors.As(err, &ae) {
+		return ae
+	}
+	return errBadInput(err.Error())
+}
+
+func (rc *reqScope) decodeBody(r *http.Request, req any) error {
+	body := io.Reader(r.Body)
+	fr, framed := req.(framedRequest)
+	framed = framed && rc.binReq
+	var bulk []wirefmt.Section
+	if rc.binReq {
+		buf, err := readFrameBody(r, rc.s.opts.MaxBodyBytes)
+		if err != nil {
+			return err
+		}
+		rc.bodyBuf = buf
+		body = bytes.NewReader(buf)
+		if framed {
+			if body, bulk, err = splitFrame(buf); err != nil {
+				return err
+			}
+		}
+	}
+	if err := decodeJSON(body, req); err != nil {
+		return err
+	}
+	if framed {
+		l := fr.frame()
+		if err := l.fill(bulk); err != nil {
+			return err
+		}
+		for _, sl := range l.slots {
+			if sl.vec != nil {
+				return nil // a vector views the frame: keep it past the response
+			}
+		}
+	}
+	// Everything decoded is a copy: recycle the frame before compute starts.
+	rc.releaseBody()
+	return nil
+}
+
+// requestContext derives the request's compute deadline: the request's
+// deadline_ms when it carries one, the server default otherwise, whichever
+// is sooner.
+func (s *Server) requestContext(r *http.Request, req any) (context.Context, context.CancelFunc) {
 	d := s.opts.DefaultDeadline
-	if deadlineMS > 0 {
-		if cd := time.Duration(deadlineMS) * time.Millisecond; cd < d {
+	if dl, ok := req.(interface{ deadline() *int64 }); ok && *dl.deadline() > 0 {
+		if cd := time.Duration(*dl.deadline()) * time.Millisecond; cd < d {
 			d = cd
 		}
 	}
@@ -404,10 +500,10 @@ func (s *Server) requestContext(r *http.Request, deadlineMS int64) (context.Cont
 }
 
 // resolveMatrix validates an uploaded matrix against the size cap.
-func (s *Server) resolveMatrix(wm *WireMatrix) (*tcqr.Matrix, *apiError) {
+func (s *Server) resolveMatrix(wm *WireMatrix) (*tcqr.Matrix, error) {
 	a, err := wm.matrix()
 	if err != nil {
-		return nil, classifyError(err)
+		return nil, err
 	}
 	// matrix() guarantees Rows*Cols == len(Data), so the product is an exact
 	// int; the int64 widening keeps this cap overflow-proof regardless.
@@ -416,6 +512,18 @@ func (s *Server) resolveMatrix(wm *WireMatrix) (*tcqr.Matrix, *apiError) {
 			msg: fmt.Sprintf("matrix has %d elements; the server caps uploads at %d", n, s.opts.MaxElements)}
 	}
 	return a, nil
+}
+
+// resolve validates an uploaded matrix and translates its config, noting
+// the shape for the log line.
+func (s *Server) resolve(rc *reqScope, wm *WireMatrix, wc WireConfig) (*tcqr.Matrix, tcqr.Config, error) {
+	a, err := s.resolveMatrix(wm)
+	if err != nil {
+		return nil, tcqr.Config{}, err
+	}
+	rc.rows, rc.cols = a.Rows, a.Cols
+	cfg, err := s.reqConfig(wc)
+	return a, cfg, err
 }
 
 // retryDo runs one compute stage under the server's retry policy. Each
@@ -456,9 +564,30 @@ func (s *Server) retryDo(ctx context.Context, rc *reqScope, stage string, fn fun
 	return err
 }
 
+// compute runs fn on the worker pool under the retry policy, recording the
+// pool queue wait and — when fn reports it did the stage's work rather than
+// reuse someone else's — fn's own wall time as stage.
+func (s *Server) compute(ctx context.Context, rc *reqScope, stage string, fn func() (worked bool, err error)) error {
+	return s.retryDo(ctx, rc, stage, func(actx context.Context) error {
+		var ferr error
+		wait, perr := s.pool.Do(actx, func() {
+			t0 := time.Now()
+			var worked bool
+			if worked, ferr = fn(); worked {
+				rc.rep.RecordTiming(stage, time.Since(t0))
+			}
+		})
+		if perr != nil {
+			return perr
+		}
+		rc.rep.RecordTiming("queue", wait)
+		return ferr
+	})
+}
+
 // degradedReject returns the rejection for cold compute while the breaker
 // is tripped, or nil when the server is healthy.
-func (s *Server) degradedReject() *apiError {
+func (s *Server) degradedReject() error {
 	rem, deg := s.brk.degraded()
 	if !deg {
 		return nil
@@ -469,10 +598,11 @@ func (s *Server) degradedReject() *apiError {
 
 // factorEntry runs GetOrFactor through the pool under the retry policy,
 // recording queue and (on non-hit sources) factorize stage timings plus the
-// panel counter for factorizations actually performed. While the server is
-// degraded only the cache answers: a resident factorization is served as a
-// hit, anything cold is rejected with 503 + Retry-After.
-func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config) (*Entry, Source, error) {
+// panel counter for factorizations actually performed; a factorization this
+// node computed is then replicated to the key's other owners. While the
+// server is degraded only the cache answers: a resident factorization is
+// served as a hit, anything cold is rejected with 503 + Retry-After.
+func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config, wcfg WireConfig) (*Entry, Source, error) {
 	if rem, deg := s.brk.degraded(); deg {
 		if e, ok := s.cache.Get(key); ok {
 			return e, SourceHit, nil
@@ -484,91 +614,40 @@ func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *t
 		entry *Entry
 		src   Source
 	)
-	err := s.retryDo(ctx, rc, "factorize", func(actx context.Context) error {
+	err := s.compute(ctx, rc, "factorize", func() (bool, error) {
 		var ferr error
-		wait, perr := s.pool.Do(actx, func() {
-			t0 := time.Now()
-			entry, src, ferr = s.cache.GetOrFactor(key, a, cfg)
-			if src != SourceHit {
-				rc.rep.RecordTiming("factorize", time.Since(t0))
-			}
-		})
-		if perr != nil {
-			return perr
-		}
-		rc.rep.RecordTiming("queue", wait)
+		entry, src, ferr = s.cache.GetOrFactor(key, a, cfg)
 		if src == SourceMiss {
 			s.metrics.panels.With(panelLabel(cfg.Panel)).Inc()
 		}
-		return ferr
+		return src != SourceHit, ferr
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	// A miss that ran through the parallel TSQR pipeline carries per-stage
-	// timings; fold them into the tcqrd_tsqr_* families exactly once (hits
-	// and shared waiters reuse a factorization someone else already counted).
-	if src == SourceMiss && entry.F != nil && entry.F.TSQR != nil {
-		s.metrics.observeTSQR(entry.F.TSQR)
+	if src == SourceMiss {
+		// A miss that ran through the parallel TSQR pipeline carries
+		// per-stage timings; fold them into the tcqrd_tsqr_* families exactly
+		// once (hits and shared waiters reuse a factorization someone else
+		// already counted), and re-home the entry to its owners.
+		if entry.F != nil && entry.F.TSQR != nil {
+			s.metrics.observeTSQR(entry.F.TSQR)
+		}
+		s.clusterReplicate(key, a, wcfg)
 	}
 	return entry, src, nil
 }
 
-func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "factorize")
-	if !ok {
-		return
-	}
-	var req factorizeRequest
-	if rc.binReq {
-		// The matrix is copied out of the frame during decode (it outlives
-		// the request in the cache), so the pooled buffer can be released as
-		// soon as decoding ends.
-		body, aerr := readFrameBody(r)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		preq, aerr := decodeFactorizeFrame(body, nil)
-		wirefmt.PutBuffer(body)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		req = *preq
-	} else if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
-	}
-	a, aerr := s.resolveMatrix(req.Matrix)
-	if aerr != nil {
-		rc.fail(w, aerr)
-		return
-	}
-	rc.rows, rc.cols = a.Rows, a.Cols
-	cfg, err := s.reqConfig(req.Config)
+// factorizeResult factors a (through factorEntry) and builds the factorize
+// response: the one answer of /v1/factorize and of a stream commit.
+func (s *Server) factorizeResult(ctx context.Context, rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config, wcfg WireConfig) (any, error) {
+	entry, src, err := s.factorEntry(ctx, rc, key, a, cfg, wcfg)
 	if err != nil {
-		rc.fail(w, classifyError(err))
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.DeadlineMS)
-	defer cancel()
-	key := CacheKey(a, cfg)
-	rc.key = key
-	if s.maybeForwardFactorize(w, rc, ctx, &req, a, key) {
-		return
-	}
-	entry, src, ferr := s.factorEntry(ctx, rc, key, a, cfg)
-	if ferr != nil {
-		rc.fail(w, classifyError(ferr))
-		return
+		return nil, err
 	}
 	defer s.cache.Release(entry)
-	if src == SourceMiss {
-		s.clusterReplicate(key, a, req.Config)
-	}
 	f := entry.F
-	rc.ok(w, factorizeResponse{
+	return factorizeResponse{
 		Key:              key,
 		Rows:             a.Rows,
 		Cols:             a.Cols,
@@ -582,103 +661,71 @@ func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request) {
 			Underflows: f.EngineStats.Underflows,
 		},
 		Hazards: rc.noteHazards(f.Hazards),
-	})
+	}, nil
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "solve")
-	if !ok {
-		return
+func errUnknownKey(key string) *apiError {
+	return &apiError{status: http.StatusNotFound, code: "unknown_key",
+		msg: fmt.Sprintf("no cached factorization for key %q (it may have been evicted; re-send the matrix)", key)}
+}
+
+func (s *Server) runFactorize(ctx context.Context, rc *reqScope, req *factorizeRequest) (any, error) {
+	a, cfg, err := s.resolve(rc, req.Matrix, req.Config)
+	if err != nil {
+		return nil, err
 	}
-	var req solveRequest
-	if rc.binReq {
-		// The right-hand side is served as a zero-copy view into the pooled
-		// frame buffer: no per-request copy of b on the cache-hit fast path.
-		// The buffer is released after the response unless the solve was
-		// abandoned on deadline (the detached batch still reads the view).
-		body, aerr := readFrameBody(r)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		rc.bodyBuf = body
-		defer rc.releaseBody()
-		preq, aerr := decodeSolveFrame(body, nil)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		req = *preq
-	} else if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
+	key := CacheKey(a, cfg)
+	rc.key = key
+	if rl := s.forward(ctx, rc, "/v1/factorize", req, key, true, false); rl != nil {
+		return rl, nil
 	}
+	return s.factorizeResult(ctx, rc, key, a, cfg, req.Config)
+}
+
+func (s *Server) runSolve(ctx context.Context, rc *reqScope, req *solveRequest) (any, error) {
 	opts, err := req.Options.options()
 	if err != nil {
-		rc.fail(w, classifyError(err))
-		return
+		return nil, err
 	}
-	ctx, cancel := s.requestContext(r, req.DeadlineMS)
-	defer cancel()
-
 	var (
 		entry *Entry
 		src   Source
 	)
 	switch {
 	case req.Key != "" && req.Matrix != nil:
-		rc.fail(w, errBadInput("give key or matrix, not both"))
-		return
+		return nil, errBadInput("give key or matrix, not both")
 	case req.Key != "":
 		// A cached factorization keeps the config it was built with; a
 		// config riding alongside a key would be silently ignored, so
 		// reject it (mirroring the key+matrix conflict above).
 		if req.Config != (WireConfig{}) {
-			rc.fail(w, errBadInput("config cannot accompany key: the cached factorization's config applies (re-send the matrix to factorize under a different config)"))
-			return
+			return nil, errBadInput("config cannot accompany key: the cached factorization's config applies (re-send the matrix to factorize under a different config)")
 		}
 		// Route before the local lookup: a non-owner without the entry
 		// forwards to the owners; exhausted candidates fall through to the
 		// local (404) answer as the served_local_fallback outcome.
-		if s.maybeForwardSolve(w, rc, ctx, &req, nil, req.Key) {
-			return
+		if rl := s.forward(ctx, rc, "/v1/solve", req, req.Key, false, true); rl != nil {
+			return rl, nil
 		}
 		e, found := s.cache.Get(req.Key)
 		if !found {
-			rc.fail(w, &apiError{status: http.StatusNotFound, code: "unknown_key",
-				msg: fmt.Sprintf("no cached factorization for key %q (it may have been evicted; re-send the matrix)", req.Key)})
-			return
+			return nil, errUnknownKey(req.Key)
 		}
 		entry, src = e, SourceHit
 	case req.Matrix != nil:
-		a, aerr := s.resolveMatrix(req.Matrix)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		cfg, cerr := s.reqConfig(req.Config)
-		if cerr != nil {
-			rc.fail(w, classifyError(cerr))
-			return
+		a, cfg, err := s.resolve(rc, req.Matrix, req.Config)
+		if err != nil {
+			return nil, err
 		}
 		key := CacheKey(a, cfg)
-		if s.maybeForwardSolve(w, rc, ctx, &req, a, key) {
-			return
+		if rl := s.forward(ctx, rc, "/v1/solve", req, key, false, false); rl != nil {
+			return rl, nil
 		}
-		var ferr error
-		entry, src, ferr = s.factorEntry(ctx, rc, key, a, cfg)
-		if ferr != nil {
-			rc.fail(w, classifyError(ferr))
-			return
-		}
-		if src == SourceMiss {
-			// A solve that factored locally re-homes the entry to its owners
-			// (replica fan-out / hinted handoff), exactly like a factorize.
-			s.clusterReplicate(key, a, req.Config)
+		if entry, src, err = s.factorEntry(ctx, rc, key, a, cfg, req.Config); err != nil {
+			return nil, err
 		}
 	default:
-		rc.fail(w, errBadInput("missing key or matrix"))
-		return
+		return nil, errBadInput("missing key or matrix")
 	}
 	// The reference acquired above (Get or GetOrFactor) pins the entry —
 	// and, under epoch-versioned updates, the exact epoch this request
@@ -689,16 +736,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	rc.rows, rc.cols = entry.A.Rows, entry.A.Cols
 
 	if len(req.B) != entry.A.Rows {
-		rc.fail(w, errBadInput(fmt.Sprintf("b holds %d elements; the matrix has %d rows", len(req.B), entry.A.Rows)))
-		return
+		return nil, errBadInput(fmt.Sprintf("b holds %d elements; the matrix has %d rows", len(req.B), entry.A.Rows))
 	}
 	if err := hazard.CheckVec("b", req.B); err != nil {
-		rc.fail(w, classifyError(err))
-		return
+		return nil, err
 	}
-
 	var out solveOutcome
-	serr := s.retryDo(ctx, rc, "solve", func(actx context.Context) error {
+	err = s.retryDo(ctx, rc, "solve", func(actx context.Context) error {
 		out = s.coal.Submit(actx, entry, opts, req.B)
 		if errors.Is(out.err, ErrDeadline) {
 			// The request abandoned its batch, but the batch still runs and
@@ -711,14 +755,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		return out.err
 	})
-	if serr != nil {
-		rc.fail(w, classifyError(serr))
-		return
+	if err != nil {
+		return nil, err
 	}
 	rc.rep.RecordTiming("queue", out.queueWait)
 	rc.rep.RecordTiming("solve", out.solveTime)
 	rc.batched = out.batched
-	rc.ok(w, solveResponse{
+	return solveResponse{
 		X:          out.x,
 		Iterations: out.iterations,
 		Converged:  out.converged,
@@ -727,110 +770,67 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Cached:     src == SourceHit,
 		Batched:    out.batched,
 		Hazards:    rc.noteHazards(out.hazards),
-	})
+	}, nil
 }
 
-// handleUpdate is POST /v1/update: an incremental mutation of the cached
+// runUpdate is POST /v1/update: an incremental mutation of the cached
 // factorization behind a key — append a row block or downdate trailing rows
 // — published as the next epoch of the key's series. The update runs on the
 // library's O(n²·(k+n)) update path, not a refactorization; in-flight
 // solves keep the epoch they pinned and the old entry is freed only when
 // its references drain.
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "update")
-	if !ok {
-		return
-	}
-	var req updateRequest
-	if rc.binReq {
-		// The append block is copied out of the frame during decode (it
-		// outlives the request inside the published entry), so the pooled
-		// buffer can be released as soon as decoding ends.
-		body, aerr := readFrameBody(r)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		preq, aerr := decodeUpdateFrame(body, nil)
-		wirefmt.PutBuffer(body)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		req = *preq
-	} else if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
-	}
-	if req.Key == "" {
-		rc.fail(w, errBadInput("missing key"))
-		return
-	}
-	if (req.Append != nil) == (req.RemoveRows != 0) {
-		rc.fail(w, errBadInput("give append or remove_rows, exactly one"))
-		return
-	}
-	if req.RemoveRows < 0 {
-		rc.fail(w, errBadInput("remove_rows must be positive"))
-		return
+func (s *Server) runUpdate(ctx context.Context, rc *reqScope, req *updateRequest) (any, error) {
+	switch {
+	case req.Key == "":
+		return nil, errBadInput("missing key")
+	case (req.Append != nil) == (req.RemoveRows != 0):
+		return nil, errBadInput("give append or remove_rows, exactly one")
+	case req.RemoveRows < 0:
+		return nil, errBadInput("remove_rows must be positive")
 	}
 	rc.key = req.Key
-	ctx, cancel := s.requestContext(r, req.DeadlineMS)
-	defer cancel()
 	// Updates must run where the series lives: route to the base key's
 	// owners when this node does not hold it.
-	if s.maybeForwardUpdate(w, rc, ctx, &req) {
-		return
+	if rl := s.forward(ctx, rc, "/v1/update", req, req.Key, true, true); rl != nil {
+		return rl, nil
 	}
 	// Updates are cold compute: degraded mode sheds them like any other
 	// factorization work.
-	if de := s.degradedReject(); de != nil {
-		rc.fail(w, de)
-		return
+	if err := s.degradedReject(); err != nil {
+		return nil, err
 	}
 	var v64 *tcqr.Matrix
 	if req.Append != nil {
-		var aerr *apiError
-		if v64, aerr = s.resolveMatrix(req.Append); aerr != nil {
-			rc.fail(w, aerr)
-			return
+		var err error
+		if v64, err = s.resolveMatrix(req.Append); err != nil {
+			return nil, err
 		}
 	}
-	old, berr := s.cache.BeginUpdate(req.Key)
-	if berr != nil {
-		rc.fail(w, &apiError{status: http.StatusNotFound, code: "unknown_key",
-			msg: fmt.Sprintf("no cached factorization for key %q (it may have been evicted; re-send the matrix)", req.Key)})
-		return
+	old, err := s.cache.BeginUpdate(req.Key)
+	if err != nil {
+		return nil, errUnknownKey(req.Key)
 	}
 	// Shape checks against the pinned epoch, before any compute.
-	if v64 != nil {
-		if v64.Cols != old.A.Cols {
-			s.cache.AbortUpdate(old)
-			rc.fail(w, errBadInput(fmt.Sprintf("append block has %d columns; the factorization has %d", v64.Cols, old.A.Cols)))
-			return
-		}
-		if n := int64(old.A.Rows+v64.Rows) * int64(old.A.Cols); n > int64(s.opts.MaxElements) {
-			s.cache.AbortUpdate(old)
-			rc.fail(w, &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
-				msg: fmt.Sprintf("updated matrix would have %d elements; the server caps matrices at %d", n, s.opts.MaxElements)})
-			return
-		}
+	switch {
+	case v64 == nil:
+	case v64.Cols != old.A.Cols:
+		err = errBadInput(fmt.Sprintf("append block has %d columns; the factorization has %d", v64.Cols, old.A.Cols))
+	case int64(old.A.Rows+v64.Rows)*int64(old.A.Cols) > int64(s.opts.MaxElements):
+		err = &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+			msg: fmt.Sprintf("updated matrix would have %d elements; the server caps matrices at %d",
+				int64(old.A.Rows+v64.Rows)*int64(old.A.Cols), s.opts.MaxElements)}
 	}
-	var (
-		v  *tcqr.Matrix32
-		nf *tcqr.Factorization
-	)
-	if v64 != nil {
-		v = tcqr.ToFloat32(v64)
-	}
-	uerr := s.retryDo(ctx, rc, "update", func(actx context.Context) error {
-		var ierr error
-		wait, perr := s.pool.Do(actx, func() {
-			t0 := time.Now()
+	var nf *tcqr.Factorization
+	if err == nil {
+		var v *tcqr.Matrix32
+		if v64 != nil {
+			v = tcqr.ToFloat32(v64)
+		}
+		err = s.compute(ctx, rc, "update", func() (bool, error) {
 			// Failpoint: an injected error here aborts the update after the
 			// epoch was pinned — the recovery path that must leave the
 			// current epoch published and the series unlocked.
-			ierr = faultinject.Fire(siteUpdateApply)
+			ierr := faultinject.Fire(siteUpdateApply)
 			if ierr == nil {
 				if v != nil {
 					nf, ierr = s.updater.UpdateAppendRows(old.F, v, old.Config)
@@ -838,19 +838,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 					nf, ierr = s.updater.UpdateRemoveRows(old.F, req.RemoveRows, old.Config)
 				}
 			}
-			rc.rep.RecordTiming("update", time.Since(t0))
+			return true, ierr
 		})
-		if perr != nil {
-			return perr
+		if err != nil {
+			s.metrics.updateFailed.Inc()
 		}
-		rc.rep.RecordTiming("queue", wait)
-		return ierr
-	})
-	if uerr != nil {
+	}
+	if err != nil {
 		s.cache.AbortUpdate(old)
-		s.metrics.updateFailed.Inc()
-		rc.fail(w, classifyError(uerr))
-		return
+		return nil, err
 	}
 	// Rebuild the refinement matrix for the new epoch (solves need A at
 	// full precision) and publish atomically.
@@ -867,14 +863,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	defer s.cache.Release(ne)
 	rc.key = ne.Key
 	rc.rows, rc.cols = na.Rows, na.Cols
-	rc.ok(w, updateResponse{
+	return updateResponse{
 		Key:     ne.Key,
 		BaseKey: baseKey(ne.Key),
 		Epoch:   ne.Epoch,
 		Rows:    na.Rows,
 		Cols:    na.Cols,
 		Hazards: rc.noteHazards(nf.Hazards),
-	})
+	}, nil
 }
 
 // appendRows64 stacks v under a (both tight or strided column-major).
@@ -904,79 +900,36 @@ func absInt(n int) int {
 	return n
 }
 
-func (s *Server) handleLowRank(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "lowrank")
-	if !ok {
-		return
-	}
-	var req lowRankRequest
-	if rc.binReq {
-		body, aerr := readFrameBody(r)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		preq, aerr := decodeLowRankFrame(body, nil)
-		wirefmt.PutBuffer(body)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		req = *preq
-	} else if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
-	}
-	a, aerr := s.resolveMatrix(req.Matrix)
-	if aerr != nil {
-		rc.fail(w, aerr)
-		return
-	}
-	rc.rows, rc.cols = a.Rows, a.Cols
-	cfg, err := s.reqConfig(req.Config)
+func (s *Server) runLowRank(ctx context.Context, rc *reqScope, req *lowRankRequest) (any, error) {
+	a, cfg, err := s.resolve(rc, req.Matrix, req.Config)
 	if err != nil {
-		rc.fail(w, classifyError(err))
-		return
+		return nil, err
 	}
-	ctx, cancel := s.requestContext(r, req.DeadlineMS)
-	defer cancel()
 	// Low-rank results are never cached, so degraded mode has nothing to
 	// serve here: the whole pipeline is suspended until the cooldown ends.
-	if de := s.degradedReject(); de != nil {
-		rc.fail(w, de)
-		return
+	if err := s.degradedReject(); err != nil {
+		return nil, err
 	}
-	var (
-		res  *tcqr.LowRankApprox
-		lerr error
-	)
-	err = s.retryDo(ctx, rc, "solve", func(actx context.Context) error {
-		wait, perr := s.pool.Do(actx, func() {
-			t0 := time.Now()
-			res, lerr = s.backend.LowRank(tcqr.ToFloat32(a), req.Rank, cfg)
-			rc.rep.RecordTiming("solve", time.Since(t0))
-		})
-		if perr != nil {
-			return perr
-		}
-		rc.rep.RecordTiming("queue", wait)
-		return lerr
+	var res *tcqr.LowRankApprox
+	err = s.compute(ctx, rc, "solve", func() (bool, error) {
+		var lerr error
+		res, lerr = s.backend.LowRank(tcqr.ToFloat32(a), req.Rank, cfg)
+		return true, lerr
 	})
 	if err != nil {
-		rc.fail(w, classifyError(err))
-		return
+		return nil, err
 	}
 	sing := make([]float64, len(res.S))
 	for i, v := range res.S {
 		sing[i] = float64(v)
 	}
-	rc.ok(w, lowRankResponse{
+	return lowRankResponse{
 		U:       fromMatrix(res.U),
 		S:       sing,
 		V:       fromMatrix(res.V),
 		Rank:    res.Rank,
 		Hazards: rc.noteHazards(res.Hazards),
-	})
+	}, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -11,7 +12,6 @@ import (
 
 	"tcqr"
 	"tcqr/internal/faultinject"
-	"tcqr/internal/wirefmt"
 )
 
 // This file is the chunked-upload path of /v1/factorize (DESIGN.md §13): a
@@ -25,11 +25,11 @@ import (
 //
 // Append accepts the same two encodings as the one-shot endpoints: JSON with
 // a "block" matrix, or a binary frame [JSON meta, matrix section] over
-// internal/wirefmt. Either way the row data is copied into the session before
-// the handler returns — a binary append's pooled frame buffer is released
-// inside the handler, never parked in the registry, so an abandoned session
-// can at worst leak its own float64 copy to the collector, not a pooled
-// buffer another request will be handed.
+// internal/wirefmt. Either way the row data is copied out of the request
+// body — a binary append's pooled frame buffer is released by the pipeline
+// as soon as decoding ends, never parked in the registry, so an abandoned
+// session can at worst leak its own float64 copy to the collector, not a
+// pooled buffer another request will be handed.
 //
 // Commit assembles the column-major matrix, derives the same content-hash
 // CacheKey a one-shot upload of the identical matrix would get, and runs the
@@ -81,7 +81,7 @@ func (sr *streamRegistry) len() int {
 
 // begin creates a session, reaping expired ones first so abandoned uploads
 // can never crowd out live clients within the session cap.
-func (sr *streamRegistry) begin(cfg tcqr.Config, wcfg WireConfig, cols int, now time.Time) (*streamSession, *apiError) {
+func (sr *streamRegistry) begin(cfg tcqr.Config, wcfg WireConfig, cols int, now time.Time) (*streamSession, error) {
 	reaped := 0
 	sr.mu.Lock()
 	for id, ss := range sr.sessions {
@@ -141,7 +141,7 @@ func errUnknownStream(id string) *apiError {
 // append adds one row block to a live session and refreshes its deadline.
 // data must be a private column-major copy (bRows × session cols) — the
 // registry retains it until commit or reap.
-func (sr *streamRegistry) append(id string, bRows, bCols int, data []float64, maxElements int, now time.Time) (*streamSession, *apiError) {
+func (sr *streamRegistry) append(id string, bRows, bCols int, data []float64, maxElements int, now time.Time) (*streamSession, error) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	ss, ok := sr.sessions[id]
@@ -166,7 +166,7 @@ func (sr *streamRegistry) append(id string, bRows, bCols int, data []float64, ma
 }
 
 // take removes and returns a live session (the commit/abort handoff).
-func (sr *streamRegistry) take(id string, now time.Time) (*streamSession, *apiError) {
+func (sr *streamRegistry) take(id string, now time.Time) (*streamSession, error) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	ss, ok := sr.sessions[id]
@@ -228,112 +228,59 @@ func (ss *streamSession) assemble() *tcqr.Matrix {
 	return tcqr.FromColMajor(ss.rows, ss.cols, data)
 }
 
-func (s *Server) handleStreamBegin(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "stream_begin")
-	if !ok {
-		return
-	}
-	var req streamBeginRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
-	}
+func (s *Server) runStreamBegin(_ context.Context, rc *reqScope, req *streamBeginRequest) (any, error) {
 	if req.Cols <= 0 {
-		rc.fail(w, errBadInput(fmt.Sprintf("cols is %d; a session needs at least 1 column", req.Cols)))
-		return
+		return nil, errBadInput(fmt.Sprintf("cols is %d; a session needs at least 1 column", req.Cols))
 	}
 	if int64(req.Cols) > int64(s.opts.MaxElements) {
-		rc.fail(w, &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
-			msg: fmt.Sprintf("cols %d exceeds the %d-element upload cap", req.Cols, s.opts.MaxElements)})
-		return
+		return nil, &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+			msg: fmt.Sprintf("cols %d exceeds the %d-element upload cap", req.Cols, s.opts.MaxElements)}
 	}
 	cfg, err := s.reqConfig(req.Config)
 	if err != nil {
-		rc.fail(w, classifyError(err))
-		return
+		return nil, err
 	}
-	ss, aerr := s.streams.begin(cfg, req.Config, req.Cols, time.Now())
-	if aerr != nil {
-		rc.fail(w, aerr)
-		return
+	ss, err := s.streams.begin(cfg, req.Config, req.Cols, time.Now())
+	if err != nil {
+		return nil, err
 	}
 	rc.key = ss.id
 	s.metrics.streamBegun.Inc()
-	rc.ok(w, streamBeginResponse{Session: ss.id, TTLMS: s.opts.StreamTTL.Milliseconds()})
+	return streamBeginResponse{Session: ss.id, TTLMS: s.opts.StreamTTL.Milliseconds()}, nil
 }
 
-func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "stream_append")
-	if !ok {
-		return
-	}
-	var req streamAppendRequest
-	if rc.binReq {
-		// The row block is copied out of the frame during decode (the session
-		// outlives the request), so the pooled buffer is released here — an
-		// abandoned session never holds a pooled wire buffer.
-		body, aerr := readFrameBody(r)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		preq, aerr := decodeStreamAppendFrame(body, nil)
-		wirefmt.PutBuffer(body)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		req = *preq
-	} else if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
-	}
+func (s *Server) runStreamAppend(_ context.Context, rc *reqScope, req *streamAppendRequest) (any, error) {
 	rc.key = req.Session
 	if req.Session == "" {
-		rc.fail(w, errBadInput("missing session"))
-		return
+		return nil, errBadInput("missing session")
 	}
 	blk, err := req.Block.matrix()
 	if err != nil {
-		rc.fail(w, classifyError(err))
-		return
+		return nil, err
 	}
 	// Failpoint: an injected append failure surfaces as a 500 after decode,
 	// with the session left untouched — the client's natural move (retry the
 	// chunk) is also the correct one.
-	if ferr := faultinject.Fire(siteStreamAppend); ferr != nil {
-		rc.fail(w, classifyError(ferr))
-		return
+	if err := faultinject.Fire(siteStreamAppend); err != nil {
+		return nil, err
 	}
-	ss, aerr := s.streams.append(req.Session, blk.Rows, blk.Cols, req.Block.Data, s.opts.MaxElements, time.Now())
-	if aerr != nil {
-		rc.fail(w, aerr)
-		return
+	ss, err := s.streams.append(req.Session, blk.Rows, blk.Cols, req.Block.Data, s.opts.MaxElements, time.Now())
+	if err != nil {
+		return nil, err
 	}
 	s.metrics.streamAppends.Inc()
 	rc.rows, rc.cols = ss.rows, ss.cols
-	rc.ok(w, streamAppendResponse{Session: ss.id, Rows: ss.rows, Blocks: len(ss.blocks)})
+	return streamAppendResponse{Session: ss.id, Rows: ss.rows, Blocks: len(ss.blocks)}, nil
 }
 
-func (s *Server) handleStreamCommit(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "stream_commit")
-	if !ok {
-		return
-	}
-	var req streamCommitRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
-	}
+func (s *Server) runStreamCommit(ctx context.Context, rc *reqScope, req *streamCommitRequest) (any, error) {
 	rc.key = req.Session
 	if req.Session == "" {
-		rc.fail(w, errBadInput("missing session"))
-		return
+		return nil, errBadInput("missing session")
 	}
-	ss, aerr := s.streams.take(req.Session, time.Now())
-	if aerr != nil {
-		rc.fail(w, aerr)
-		return
+	ss, err := s.streams.take(req.Session, time.Now())
+	if err != nil {
+		return nil, err
 	}
 	// Commit consumes the session whatever happens next (like a one-shot
 	// request body): count it now so the lifecycle invariant begun ==
@@ -341,68 +288,29 @@ func (s *Server) handleStreamCommit(w http.ResponseWriter, r *http.Request) {
 	// a client whose commit 500s restarts the upload.
 	s.metrics.streamCommitted.Inc()
 	if ss.rows == 0 {
-		rc.fail(w, errBadInput(fmt.Sprintf("session %q holds no rows; append at least one block before commit", req.Session)))
-		return
+		return nil, errBadInput(fmt.Sprintf("session %q holds no rows; append at least one block before commit", req.Session))
 	}
 	a := ss.assemble()
 	rc.rows, rc.cols = a.Rows, a.Cols
-	ctx, cancel := s.requestContext(r, req.DeadlineMS)
-	defer cancel()
 	// From here the streamed matrix is indistinguishable from a one-shot
 	// upload: same key derivation, same cache/pool/retry/degraded pipeline,
-	// same response envelope.
+	// same replication to the key's owners (the commit itself always runs
+	// locally — sessions are node-local state), same response.
 	key := CacheKey(a, ss.cfg)
 	rc.key = key
-	entry, src, ferr := s.factorEntry(ctx, rc, key, a, ss.cfg)
-	if ferr != nil {
-		rc.fail(w, classifyError(ferr))
-		return
-	}
-	if src == SourceMiss {
-		// A streamed factorization re-homes to the key's owners exactly like
-		// a one-shot one (the commit itself always runs locally — sessions
-		// are node-local state).
-		s.clusterReplicate(key, a, ss.wcfg)
-	}
-	f := entry.F
-	rc.ok(w, factorizeResponse{
-		Key:              key,
-		Rows:             a.Rows,
-		Cols:             a.Cols,
-		Cached:           src == SourceHit,
-		Shared:           src == SourceShared,
-		Reorthogonalized: f.Reorthogonalized,
-		EngineStats: wireEngineStats{
-			GemmCalls:  f.EngineStats.GemmCalls,
-			Flops:      f.EngineStats.Flops,
-			Overflows:  f.EngineStats.Overflows,
-			Underflows: f.EngineStats.Underflows,
-		},
-		Hazards: rc.noteHazards(f.Hazards),
-	})
+	return s.factorizeResult(ctx, rc, key, a, ss.cfg, ss.wcfg)
 }
 
-func (s *Server) handleStreamAbort(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "stream_abort")
-	if !ok {
-		return
-	}
-	var req streamAbortRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
-	}
+func (s *Server) runStreamAbort(_ context.Context, rc *reqScope, req *streamAbortRequest) (any, error) {
 	rc.key = req.Session
 	if req.Session == "" {
-		rc.fail(w, errBadInput("missing session"))
-		return
+		return nil, errBadInput("missing session")
 	}
-	if _, aerr := s.streams.take(req.Session, time.Now()); aerr != nil {
-		rc.fail(w, aerr)
-		return
+	if _, err := s.streams.take(req.Session, time.Now()); err != nil {
+		return nil, err
 	}
 	s.metrics.streamAborted.Inc()
-	rc.ok(w, streamAbortResponse{Session: req.Session, Aborted: true})
+	return streamAbortResponse{Session: req.Session, Aborted: true}, nil
 }
 
 // streamReaper is the background TTL sweep, started by New and stopped by

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -437,52 +440,82 @@ func TestStreamReaperLifecycle(t *testing.T) {
 	}
 }
 
-// FuzzStreamFrameDecode throws raw bytes at the binary append decoder: it
-// must never panic, every accepted frame must carry a structurally valid row
-// block (the shape invariants the session registry relies on), and every
-// rejection must be a client-class apiError — a hostile chunk can never take
-// the 500 path, trip the degradation breaker, or corrupt a session.
+// FuzzStreamFrameDecode throws raw bytes at the pipeline's one frame decoder
+// under every frame layout — stream append, factorize, solve, update and
+// lowrank: it must never panic, every accepted frame must carry its required
+// matrix sections in a structurally valid form (the shape invariants the
+// session registry and the cache rely on), and every rejection must be a
+// client-class apiError — a hostile frame can never take the 500 path, trip
+// the degradation breaker, or corrupt a session.
 func FuzzStreamFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a frame"))
-	valid, _ := wirefmt.AppendFrame(nil,
-		wirefmt.JSONSection([]byte(`{"session":"abc"}`)),
-		wirefmt.MatrixSection(2, 3, []float64{1, 2, 3, 4, 5, 6}))
-	f.Add(valid)
-	noBlock, _ := wirefmt.AppendFrame(nil, wirefmt.JSONSection([]byte(`{"session":"abc"}`)))
-	f.Add(noBlock)
-	inMeta, _ := wirefmt.AppendFrame(nil,
-		wirefmt.JSONSection([]byte(`{"session":"abc","block":{"rows":1,"cols":1,"data":[1]}}`)),
-		wirefmt.MatrixSection(1, 1, []float64{1}))
-	f.Add(inMeta)
-	vecNotMat, _ := wirefmt.AppendFrame(nil,
-		wirefmt.JSONSection([]byte(`{"session":"abc"}`)),
-		wirefmt.VectorSection([]float64{1, 2}))
-	f.Add(vecNotMat)
-	if len(valid) > 8 {
-		f.Add(valid[:len(valid)-3]) // truncated bulk section
-		f.Add(valid[:9])            // truncated header
+	meta := func(m string) wirefmt.Section { return wirefmt.JSONSection([]byte(m)) }
+	mat := wirefmt.MatrixSection(2, 3, []float64{1, 2, 3, 4, 5, 6})
+	vec := wirefmt.VectorSection([]float64{1, 2})
+	fwd := wirefmt.ForwardSection(250, 1, "n0")
+	seeds := [][]wirefmt.Section{
+		{meta(`{"session":"abc"}`), mat},                                                           // stream append
+		{meta(`{"session":"abc"}`)},                                                                // append without its block
+		{meta(`{"session":"abc","block":{"rows":1,"cols":1,"data":[1]}}`), mat},                    // block in the metadata
+		{meta(`{"session":"abc"}`), vec},                                                           // vector where the block belongs
+		{meta(`{"config":{"engine":"tc-ec"},"deadline_ms":500}`), mat},                             // factorize
+		{meta(`{"key":"k","options":{"method":"lsqr"}}`), vec},                                     // solve by key
+		{meta(`{"config":{"panel":"cholqr"}}`), wirefmt.MatrixSection(2, 1, []float64{1, 2}), vec}, // solve by matrix
+		{meta(`{"key":"k"}`), mat},                                                                 // update append
+		{meta(`{"key":"k","remove_rows":1}`)},                                                      // update downdate
+		{meta(`{"rank":1}`), mat},                                                                  // lowrank
+	}
+	for _, secs := range seeds {
+		for _, extra := range [][]wirefmt.Section{nil, {fwd}} {
+			frame, err := wirefmt.AppendFrame(nil, append(append([]wirefmt.Section(nil), secs...), extra...)...)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(frame)
+			if len(frame) > 9 {
+				f.Add(frame[:len(frame)-3]) // truncated last section
+				f.Add(frame[:9])            // truncated header
+			}
+		}
 	}
 
+	srv := New(Options{Workers: 1})
+	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, aerr := decodeStreamAppendFrame(body, nil)
-		if aerr != nil {
-			if aerr.status < 400 || aerr.status >= 500 {
-				t.Fatalf("decode rejection carries server-class status %d (%s)", aerr.status, aerr.msg)
+		layouts := []framedRequest{&streamAppendRequest{}, &factorizeRequest{}, &solveRequest{}, &updateRequest{}, &lowRankRequest{}}
+		for _, req := range layouts {
+			rc := &reqScope{s: srv, binReq: true}
+			err := rc.decode(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), req)
+			if err != nil {
+				var ae *apiError
+				if !errors.As(err, &ae) || ae.status < 400 || ae.status >= 500 {
+					t.Fatalf("%T: decode rejection is not a client-class apiError: %v", req, err)
+				}
+				rc.releaseBody()
+				continue
 			}
-			return
-		}
-		if req.Block == nil {
-			t.Fatal("accepted frame without a row block")
-		}
-		// matrix() is the gate the append handler applies before the registry
-		// sees the block: an accepted frame either passes it or is rejected
-		// with a client error, never a panic.
-		if blk, err := req.Block.matrix(); err == nil {
-			if blk.Rows <= 0 || blk.Cols <= 0 || len(req.Block.Data) != blk.Rows*blk.Cols {
-				t.Fatalf("validated block has inconsistent shape %dx%d with %d elements",
-					blk.Rows, blk.Cols, len(req.Block.Data))
+			for _, sl := range req.frame().slots {
+				if sl.mat == nil {
+					continue
+				}
+				if *sl.mat == nil {
+					if !sl.optional {
+						t.Fatalf("%T: accepted frame without its %s section", req, sl.name)
+					}
+					continue
+				}
+				// matrix() is the gate every endpoint applies before a matrix
+				// reaches the cache or a session: an accepted frame either
+				// passes it or is rejected with a client error, never a panic.
+				if m, err := (*sl.mat).matrix(); err == nil {
+					if m.Rows <= 0 || m.Cols <= 0 || len((*sl.mat).Data) != m.Rows*m.Cols {
+						t.Fatalf("%T: validated %s has inconsistent shape %dx%d with %d elements",
+							req, sl.name, m.Rows, m.Cols, len((*sl.mat).Data))
+					}
+				}
 			}
+			rc.releaseBody()
 		}
 	})
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the JSON wire vocabulary of the daemon: request/response
-// bodies for the three compute endpoints, the serialized form of the typed
+// bodies for the POST endpoints, the serialized form of the typed
 // hazard events (so clients see what the PR 2 fallback ladder did), and the
 // error envelope with its HTTP status mapping.
 
@@ -200,10 +200,16 @@ type wireEngineStats struct {
 type factorizeRequest struct {
 	Matrix *WireMatrix `json:"matrix"`
 	Config WireConfig  `json:"config"`
-	// DeadlineMS optionally tightens the server's default deadline for this
-	// request (milliseconds).
+	wireDeadline
+}
+
+// wireDeadline is the optional deadline_ms of a compute request: it can
+// only tighten the server's default deadline for this request.
+type wireDeadline struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
+
+func (d *wireDeadline) deadline() *int64 { return &d.DeadlineMS }
 
 // factorizeResponse reports the cached factorization. Key addresses it in
 // subsequent /v1/solve requests without re-uploading the matrix.
@@ -222,12 +228,12 @@ type factorizeResponse struct {
 // factorize response) or Matrix+Config must be given, plus the right-hand
 // side B.
 type solveRequest struct {
-	Key        string           `json:"key,omitempty"`
-	Matrix     *WireMatrix      `json:"matrix,omitempty"`
-	Config     WireConfig       `json:"config"`
-	B          []float64        `json:"b"`
-	Options    WireSolveOptions `json:"options"`
-	DeadlineMS int64            `json:"deadline_ms,omitempty"`
+	Key     string           `json:"key,omitempty"`
+	Matrix  *WireMatrix      `json:"matrix,omitempty"`
+	Config  WireConfig       `json:"config"`
+	B       []float64        `json:"b"`
+	Options WireSolveOptions `json:"options"`
+	wireDeadline
 }
 
 // solveResponse is one least squares solution. Batched reports how many
@@ -253,7 +259,7 @@ type updateRequest struct {
 	Key        string      `json:"key"`
 	Append     *WireMatrix `json:"append,omitempty"`
 	RemoveRows int         `json:"remove_rows,omitempty"`
-	DeadlineMS int64       `json:"deadline_ms,omitempty"`
+	wireDeadline
 }
 
 // updateResponse reports the newly published epoch. Subsequent solves by
@@ -303,8 +309,8 @@ type streamAppendResponse struct {
 // the assembled matrix is factored through the standard pipeline and the
 // response is the same factorizeResponse a one-shot upload would get.
 type streamCommitRequest struct {
-	Session    string `json:"session"`
-	DeadlineMS int64  `json:"deadline_ms,omitempty"`
+	Session string `json:"session"`
+	wireDeadline
 }
 
 // streamAbortRequest discards a session (POST /v1/factorize/stream/abort).
@@ -319,10 +325,10 @@ type streamAbortResponse struct {
 
 // lowRankRequest is the body of POST /v1/lowrank.
 type lowRankRequest struct {
-	Matrix     *WireMatrix `json:"matrix"`
-	Rank       int         `json:"rank"`
-	Config     WireConfig  `json:"config"`
-	DeadlineMS int64       `json:"deadline_ms,omitempty"`
+	Matrix *WireMatrix `json:"matrix"`
+	Rank   int         `json:"rank"`
+	Config WireConfig  `json:"config"`
+	wireDeadline
 }
 
 // lowRankResponse carries the truncated SVD factors.
@@ -402,21 +408,23 @@ func classifyError(err error) *apiError {
 }
 
 // decodeJSON decodes a request body strictly: unknown fields and trailing
-// data are errors, and the reader is size-capped by the caller.
+// data are errors, and the reader is size-capped by the caller. Read errors
+// stay wrapped, so the pipeline's decode step can tell a body over the cap
+// from a malformed one.
 func decodeJSON(r io.Reader, v any) error {
 	// Failpoint: an injected decode error surfaces as 400 bad_input,
 	// indistinguishable from a real malformed body (and, like one, is never
 	// retried by the server).
 	if err := faultinject.Fire(siteWireDecode); err != nil {
-		return errBadInput("malformed JSON body: " + err.Error())
+		return fmt.Errorf("malformed JSON body: %w", err)
 	}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return errBadInput("malformed JSON body: " + err.Error())
+		return fmt.Errorf("malformed JSON body: %w", err)
 	}
 	if dec.More() {
-		return errBadInput("trailing data after JSON body")
+		return errors.New("trailing data after JSON body")
 	}
 	return nil
 }

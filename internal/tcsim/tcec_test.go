@@ -93,7 +93,7 @@ func TestTcEcAccuracySweep(t *testing.T) {
 	}{
 		{"unit", 1, 16},
 		{"up6", 0x1p6, 16},
-		{"top-edge", 0x1p12, 16},      // products ~2¹², hi halves near saturation
+		{"top-edge", 0x1p12, 16},     // products ~2¹², hi halves near saturation
 		{"down10", 0x1p-10, 16},      // residuals still land fp16-normal after the shift
 		{"subnormal-hi", 0x1p-18, 0}, // hi halves fp16-subnormal; shifted residuals too
 		{"subnormal-lo", 0x1p-26, 0}, // TC flushes the operands outright; tc-ec keeps bits

@@ -1,9 +1,17 @@
 #!/bin/sh
-# Tier-2 repository check: static analysis, the full test suite under the
-# race detector, and a short native-fuzz smoke of every fuzz target. Run
-# from the repository root. Mirrors `make check-deep`.
+# Tier-2 repository check: formatting and static analysis, the full test
+# suite under the race detector, and a short native-fuzz smoke of every fuzz
+# target. Run from the repository root. Mirrors `make check-deep`.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l flags:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
